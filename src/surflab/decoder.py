@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -64,6 +65,11 @@ class DecodingGraph:
     wb: np.ndarray  # (D,) detector-to-boundary path weight
     parity: np.ndarray  # (D, D) uint8, logical parity along the path
     parity_b: np.ndarray  # (D,) uint8
+
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Detector pairs a minimum-weight matching may pair."""
+        return matching.link_pairs(self.w, self.wb)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +185,8 @@ def build_dem(noisy_circuit: Circuit, meta: MemoryMeta, include: str = "consiste
     log_flips = logical_readout(rec_flips, meta)
 
     # mechanisms merge only when they agree on both detectors and logical
-    # action; equal-detector signatures with opposite logical flags stay as
-    # parallel edges (graph construction keeps the lighter one).
+    # action; equal-detector signatures with opposite logical flags are
+    # logical conflicts, which build_decoding_graph refuses.
     merged: dict[tuple[tuple[int, ...], bool], float] = {}
     silent_logical = 0.0
     big: list[tuple[tuple[int, ...], float, bool]] = []
@@ -267,7 +273,24 @@ def _partitions(sig: tuple[int, ...]):
 # decoding graph and batch decoding
 
 
+def _check_dem(dem: DetectorErrorModel) -> None:
+    """Refuse a model that a matching graph would misrepresent, naming the
+    first offending detector signature."""
+    logical: dict[tuple[int, ...], bool] = {}
+    for e in dem.edges:
+        if logical.setdefault(e.detectors, e.logical) != e.logical:
+            raise ValueError(f"detector signature {e.detectors} has mechanisms with both logical actions")
+    dropped = dem.diagnostics.get("dropped_wide_signatures")
+    if dropped:
+        sig, p = dropped[0]
+        raise ValueError(f"wide detector signature {sig} (p={p:.3g}) splits into no known edges")
+    silent = dem.diagnostics.get("silent_logical_probability", 0.0)
+    if silent > 0.0:
+        raise ValueError(f"detector signature () flips the logical with probability {silent:.3g}")
+
+
 def build_decoding_graph(dem: DetectorErrorModel, dset: DetectorSet) -> DecodingGraph:
+    _check_dem(dem)
     d = dem.n_detectors
     boundary = d  # virtual node
     rows, cols, vals = [], [], []
@@ -323,4 +346,4 @@ def build_decoder(noisy_circuit: Circuit, meta: MemoryMeta, include: str = "cons
 
 def decode(graph: DecodingGraph, events: np.ndarray) -> np.ndarray:
     """Logical correction bit for each shot of detection events."""
-    return matching.decode_batched(graph.w, graph.wb, graph.parity, graph.parity_b, events)
+    return matching.decode_batched(graph.w, graph.wb, graph.parity, graph.parity_b, events, graph.links)

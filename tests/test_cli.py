@@ -7,7 +7,18 @@ import os
 import numpy as np
 import pytest
 
-from surflab.cli import main
+from surflab import (
+    Calibration,
+    Layout,
+    attach_noise,
+    build_decoder,
+    decode,
+    detection_events,
+    logical_errors,
+    memory_circuit,
+)
+from surflab.cli import _csv_bytes, main
+from surflab.engines import read_qshot
 
 
 def run_cli(*argv):
@@ -97,6 +108,20 @@ def test_decode_outputs(pipeline):
     assert len(rows) == 400
     for row in rows[:20]:
         assert int(row["decoded_error"]) == int(row["raw_error"]) ^ int(row["correction"])
+
+
+def test_decode_csv_equals_row_writer(pipeline, tmp_path):
+    # decode.csv is written column-wise; it must equal one csv row per shot
+    root, shots = pipeline
+    out = tmp_path / "decode.csv"
+    assert run_cli("decode", "--shots", str(shots[2]), "--out", str(out), "--out-dir", str(tmp_path)) == 0
+    records, _ = read_qshot(str(shots[2]))
+    circ, meta = memory_circuit(Layout.build(3), "Z", 2)
+    graph = build_decoder(attach_noise(circ, Calibration.load()), meta)
+    raw = logical_errors(records, meta)
+    corr = decode(graph, detection_events(records, graph.dset))
+    rows = [[i, int(raw[i]), int(corr[i]), int(raw[i] ^ corr[i])] for i in range(len(raw))]
+    assert out.read_bytes() == _csv_bytes(["shot", "raw_error", "correction", "decoded_error"], rows)
 
 
 def test_analyze_and_fit(pipeline, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surflab import build_detectors, decode, detection_events, memory_circuit
-from surflab.decoder import DemEdge, _xor_p, build_decoder, build_dem, build_decoding_graph
+from surflab.decoder import DemEdge, DetectorErrorModel, _xor_p, build_decoder, build_dem, build_decoding_graph
 
 from helpers import run_single_shot, single_fault_variants
 
@@ -126,3 +126,23 @@ def test_noiseless_input_yields_empty_model(layout):
     # and the matching graph refuses to build without boundary connectivity
     with pytest.raises(RuntimeError):
         build_decoding_graph(dem, dset)
+
+
+@pytest.mark.parametrize(
+    "edges,diagnostics,named",
+    [
+        # the same detector pair with both logical actions
+        ([DemEdge((1, 2), 0.01, False), DemEdge((1, 2), 0.002, True)], {}, r"\(1, 2\)"),
+        # a wide signature that splits into no known edges
+        ([], {"dropped_wide_signatures": [((0, 1, 2), 0.003)]}, r"\(0, 1, 2\)"),
+        # a logical flip that fires no detector
+        ([], {"silent_logical_probability": 1e-4}, r"\(\)"),
+    ],
+)
+def test_bad_dem_is_refused(z2, edges, diagnostics, named):
+    _, _, _, dset = z2
+    boundary = [DemEdge((d,), 0.01, False) for d in range(dset.n_detectors)]
+    dem = DetectorErrorModel(dset.n_detectors, boundary + edges, diagnostics)
+    with pytest.raises(ValueError, match=named):
+        build_decoding_graph(dem, dset)
+    build_decoding_graph(DetectorErrorModel(dset.n_detectors, boundary), dset)
